@@ -4,9 +4,9 @@ The estimator/exact-solver functions that predate ``repro.evaluate``
 remain importable for external callers, but each public name is now a
 thin shim: it emits one :class:`DeprecationWarning` pointing at the front
 door, then delegates to the private engine-layer implementation.
-First-party code must not call the shims — ``tools/check_legacy_callsites.py``
-(run in CI and as a tier-1 test) fails the build if any module under
-``src/`` does.
+First-party code must not call the shims — ``suu lint --rule
+legacy-callsite`` (run in CI and as a tier-1 test) fails the build if any
+module under ``src/`` does.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ query the seam instead of importing concrete solver functions:
   benchmarked and fuzzed automatically.
 
 First-party imports of the concrete solver functions outside
-``repro/algorithms/`` are banned by ``tools/check_solver_callsites.py``;
+``repro/algorithms/`` are banned by ``suu lint --rule solver-callsite``;
 route through :func:`resolve_solver` / :func:`iter_solvers`.
 """
 

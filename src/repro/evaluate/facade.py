@@ -10,12 +10,11 @@ The legacy entry points (``estimate_makespan``, ``expected_makespan_*``,
 ``completion_curve``, ``exact_completion_curve``, ``state_distribution``)
 remain as deprecation shims for external callers; internally only this
 module talks to the engine layer (enforced by
-``tools/check_legacy_callsites.py``).
+``suu lint --rule legacy-callsite``).
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
@@ -83,18 +82,21 @@ def evaluate(
                     "pass either a pre-built EvaluationRequest or keyword "
                     f"arguments, not both (got request= plus {sorted(kwargs)})"
                 )
-            if isinstance(schedule, str):
-                # Solver-name sugar: schedule through the registry with a
-                # deterministic solver stream (the experiment runner's
-                # derivation), decoupled from the simulation stream.
+            if not isinstance(schedule, str):
+                _validate_table(instance, schedule)
+        if isinstance(schedule, str):
+            # Solver-name sugar: schedule through the registry with a
+            # deterministic solver stream (the experiment runner's
+            # derivation), decoupled from the simulation stream.  Its own
+            # span, so a long build is not booked as validation.
+            with obs.span("evaluate.solve", solver=schedule):
                 from ..algorithms.registry import resolve_solver
 
                 base = request.seed if isinstance(request.seed, int) else 0
                 schedule = resolve_solver(schedule).build(
                     instance, rng=np.random.default_rng((base, 0xA16))
                 ).schedule
-            if hasattr(schedule, "validate_against"):  # oblivious / cyclic tables
-                schedule.validate_against(instance)
+                _validate_table(instance, schedule)
         with obs.span("evaluate.dispatch") as dspan:
             route = select_route(instance, schedule, request)
             dspan.set(
@@ -123,6 +125,11 @@ def evaluate(
             "counters": obs.counters_since(counters_before),
         }
     return report
+
+
+def _validate_table(instance: SUUInstance, schedule) -> None:
+    if hasattr(schedule, "validate_against"):  # oblivious / cyclic tables
+        schedule.validate_against(instance)
 
 
 # ----------------------------------------------------------------------
@@ -213,22 +220,28 @@ def _precision_met(
     return True
 
 
+def run_max_steps_for(request: EvaluationRequest) -> int:
+    """The step budget an MC run observes.
+
+    A curve-only run observes exactly ``horizon`` steps, like the legacy
+    ``completion_curve``; once makespan is also requested the request's
+    own budget governs and the curve is the CDF's first ``horizon``
+    points (the validator guarantees ``max_steps >= horizon`` then).
+    """
+    if "completion_curve" in request.metrics and "makespan" not in request.metrics:
+        return request.horizon
+    return request.max_steps
+
+
 def _run_mc(
     instance: SUUInstance,
     schedule,
     request: EvaluationRequest,
     route: Route,
 ) -> EvaluationReport:
-    from ..sim.montecarlo import _estimate_makespan
+    from ..sim.montecarlo import _estimate_makespan, sample_estimate
 
-    # A curve-only run observes exactly `horizon` steps, like the legacy
-    # completion_curve; once makespan is also requested the request's own
-    # budget governs and the curve is the CDF's first `horizon` points
-    # (the validator guarantees max_steps >= horizon in that case).
-    if "completion_curve" in request.metrics and "makespan" not in request.metrics:
-        run_max_steps = request.horizon
-    else:
-        run_max_steps = request.max_steps
+    run_max_steps = run_max_steps_for(request)
     need_samples = (
         request.keep_samples
         or "completion_curve" in request.metrics
@@ -236,8 +249,8 @@ def _run_mc(
     )
 
     def run(reps: int, rng):
-        # Censoring is re-emitted once by this routine's caller with the
-        # correct attribution; the engine-layer warning is suppressed.
+        # Censoring is re-emitted once by mc_report with the correct
+        # attribution; the engine-layer warning is suppressed.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CensoredEstimateWarning)
             return _estimate_makespan(
@@ -261,55 +274,54 @@ def _run_mc(
         # integer (reproducible passthrough) from a generator (one draw).
         with obs.span("mc.round", round=1, reps=request.reps):
             est = run(request.reps, request.seed)
-        samples = est.samples
-        mean, std_err = est.mean, est.std_err
-        n_reps, truncated = est.n_reps, est.truncated
-        lo, hi = est.min, est.max
-        rounds, met = 1, None
-        engine_used = est.engine_used
-        if truncated:
-            warn_censored(truncated, n_reps, run_max_steps, stacklevel=3)
-    else:
-        # Adaptive precision: double the replication count until the CI
-        # half-width meets the target or the budget is spent.  One
-        # generator feeds every round, so rounds draw fresh independent
-        # replications; one merged warning is emitted below.
-        rng = as_rng(request.seed)
-        budget = request.effective_budget()
-        chunks: list[np.ndarray] = []
-        truncated = 0
-        n_reps = 0
-        rounds = 0
-        lo, hi = math.inf, -math.inf
-        next_reps = request.reps
-        while True:
-            with obs.span("mc.round", round=rounds + 1, reps=next_reps):
-                est = run(next_reps, rng)
-            rounds += 1
-            chunks.append(np.asarray(est.samples))
-            truncated += est.truncated
-            n_reps += est.n_reps
-            lo, hi = min(lo, est.min), max(hi, est.max)
-            engine_used = est.engine_used
-            values = np.concatenate(chunks).astype(np.float64)
-            mean = float(values.mean())
-            std_err = (
-                float(values.std(ddof=1) / math.sqrt(n_reps)) if n_reps > 1 else 0.0
-            )
-            met = _precision_met(mean, std_err, request)
-            if met or n_reps >= budget:
-                break
-            next_reps = min(n_reps, budget - n_reps)
-        samples = np.concatenate(chunks)
-        if truncated:
-            warn_censored(truncated, n_reps, run_max_steps, stacklevel=3)
+        return mc_report(schedule, request, route, est)
+    # Adaptive precision: double the replication count until the CI
+    # half-width meets the target or the budget is spent.  One generator
+    # feeds every round, so rounds draw fresh independent replications;
+    # the report emits one merged warning.
+    rng = as_rng(request.seed)
+    budget = request.effective_budget()
+    chunks: list[np.ndarray] = []
+    truncated = 0
+    rounds = 0
+    next_reps = request.reps
+    while True:
+        with obs.span("mc.round", round=rounds + 1, reps=next_reps):
+            est = run(next_reps, rng)
+        rounds += 1
+        chunks.append(np.asarray(est.samples))
+        truncated += est.truncated
+        merged = sample_estimate(np.concatenate(chunks), truncated, est.engine_used)
+        met = _precision_met(merged.mean, merged.std_err, request)
+        if met or merged.n_reps >= budget:
+            return mc_report(schedule, request, route, merged, rounds=rounds, met=met)
+        next_reps = min(merged.n_reps, budget - merged.n_reps)
 
+
+def mc_report(
+    schedule,
+    request: EvaluationRequest,
+    route: Route,
+    est,
+    rounds: int = 1,
+    met: bool | None = None,
+) -> EvaluationReport:
+    """The MC report for ``est`` (a :class:`~repro.sim.montecarlo.MakespanEstimate`).
+
+    The one report builder of the MC route, shared by :func:`evaluate`
+    and the server's lockstep batch groups: it emits the one censoring
+    warning (blaming the caller of ``evaluate()``), cuts the completion
+    curve, and fills the report fields.
+    """
+    run_max_steps = run_max_steps_for(request)
+    if est.truncated:
+        warn_censored(est.truncated, est.n_reps, run_max_steps, stacklevel=4)
     curve = None
     if "completion_curve" in request.metrics:
         # Full-budget CDF truncated to the requested horizon; for a
         # curve-only request run_max_steps == horizon and this is exactly
         # the legacy completion_curve.
-        curve = _mc_curve(samples, truncated, run_max_steps)[: request.horizon]
+        curve = _mc_curve(est.samples, est.truncated, run_max_steps)[: request.horizon]
     # Like the exact route, the makespan fields are populated only when
     # the metric was requested: a curve-only run observes just `horizon`
     # steps, so its sample mean is E[min(makespan, horizon)] — a number
@@ -317,15 +329,15 @@ def _run_mc(
     wants_makespan = "makespan" in request.metrics
     return EvaluationReport(
         mode="mc",
-        engine=engine_used,
+        engine=est.engine_used,
         schedule_kind=schedule_kind(schedule),
-        makespan=mean if wants_makespan else None,
-        std_err=std_err if wants_makespan else 0.0,
-        n_reps=n_reps,
-        truncated=truncated,
-        min=lo if wants_makespan else None,
-        max=hi if wants_makespan else None,
-        samples=samples if request.keep_samples else None,
+        makespan=est.mean if wants_makespan else None,
+        std_err=est.std_err if wants_makespan else 0.0,
+        n_reps=est.n_reps,
+        truncated=est.truncated,
+        min=est.min if wants_makespan else None,
+        max=est.max if wants_makespan else None,
+        samples=est.samples if request.keep_samples else None,
         completion_curve=curve,
         sharded=route.sharded,
         rounds=rounds,

@@ -1,8 +1,7 @@
 """The ``suu lint`` / ``python -m repro lint`` command implementation.
 
 Kept separate from :mod:`repro.cli` so the framework is usable (and
-testable) without the argparse surface, and so the delegating
-``tools/check_*.py`` shims never import the full CLI.
+testable) without the argparse surface.
 """
 
 from __future__ import annotations

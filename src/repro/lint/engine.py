@@ -4,8 +4,8 @@ Each file under scan is read and :func:`ast.parse`\\ d **once**; the tree
 is then walked once in document order, and every node is dispatched to
 each active rule that declared a ``visit_<NodeType>`` hook.  Adding a
 rule therefore costs one method call per matching node, not a re-parse —
-the property that let three standalone ``tools/check_*.py`` scripts (three
-parses of the whole tree each run) collapse into one framework.
+the property that let three standalone checker scripts (three parses of
+the whole tree each run) collapse into one framework.
 
 Findings pass through the file's :class:`~repro.lint.suppress.SuppressionIndex`
 (``# lint: disable=<rule-id>`` pragmas) before they reach the report, and

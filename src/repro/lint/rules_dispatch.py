@@ -1,10 +1,8 @@
 """Dispatch-contract rules: every call goes through the sanctioned door.
 
-``legacy-callsite`` and ``solver-callsite`` are the framework ports of
-``tools/check_legacy_callsites.py`` and ``tools/check_solver_callsites.py``
-(which remain as thin delegating shims).  Violation semantics — what
-counts as a hit, and the message text after ``path:line:`` — are
-byte-equivalent to the standalone checkers they replaced.
+``legacy-callsite`` and ``solver-callsite`` (``suu lint --rule <id>``)
+keep evaluation behind the ``evaluate()`` front door and solvers behind
+the capability-typed registry.
 """
 
 from __future__ import annotations

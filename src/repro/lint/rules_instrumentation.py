@@ -1,8 +1,7 @@
 """Instrumentation-contract rules: timing and warnings stay observable.
 
-``bare-timer`` is the framework port of ``tools/check_instrumentation.py``
-(byte-equivalent violation semantics; the tool remains as a delegating
-shim).  ``typed-warning`` is new: every ``warnings.warn`` in ``src/``
+``bare-timer`` (``suu lint --rule bare-timer``) keeps timing in
+:mod:`repro.obs`.  ``typed-warning``: every ``warnings.warn`` in ``src/``
 must carry a *typed* warning class and an explicit ``stacklevel=``, so
 warnings are filterable by category and attribute to the caller's line
 rather than to library internals.

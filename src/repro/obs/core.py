@@ -67,7 +67,7 @@ __all__ = [
 class Stopwatch:
     """A started wall-clock timer; the sanctioned way to measure elapsed time.
 
-    ``tools/check_instrumentation.py`` bans bare ``time.perf_counter()``
+    ``suu lint --rule bare-timer`` bans bare ``time.perf_counter()``
     calls in first-party code outside ``repro/obs/`` — engine phases
     belong in spans, and the few legitimate "how long did this take"
     scalars (worker ``elapsed_s``, fuzz time budgets) go through this

@@ -1,21 +1,13 @@
 """Cross-request Monte Carlo batching with a bitwise-parity guarantee.
 
 Many clients asking about the same instance (under any schedule whose
-MC route is the vectorized lockstep engine) can share per-step work: the
-eligibility reduction ``finished @ pred_matrix`` depends only on the
-instance DAG, so one matmul over the *stacked* finished matrix of every
-pending request replaces one matmul per request.
-
-The non-negotiable contract is **bitwise identity with solo
-``evaluate()``**: each member keeps its own ``as_rng(seed)`` generator
-and the runner replicates the exact control flow of
-:func:`repro.sim.montecarlo._vectorized_oblivious` per member — the
-same per-member horizon, the same ``done/q/attempt`` skip conditions
-gating each draw, the same ``rng.random((reps, n))`` shapes in the same
-order — so each member's stream consumption is indistinguishable from a
-solo run.  Only the RNG-free eligibility matmul is shared, and since
-its entries are exact small integers in float64 (sums of 0/1 products),
-stacking rows cannot change a single bit of any member's result.
+MC route is the lockstep engine) can share per-step work.  This module
+only decides who may share: the run itself is the one lockstep kernel,
+:func:`repro.sim.montecarlo.run_lockstep`, which solo ``evaluate()``
+calls with a single member.  Each member keeps its own ``as_rng(seed)``
+generator, and the kernel shares only the RNG-free eligibility
+reduction, so a batched member's report is bitwise its solo report.
+Reports are built by the facade's own MC report builder.
 
 Batch *compatibility* (one group = one lockstep run) follows the
 server's grouping key: same instance content hash, same schedule kind,
@@ -25,20 +17,17 @@ schedules and seeds may differ freely.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .. import obs
 from .._util import as_rng
 from ..core.instance import SUUInstance
 from ..core.schedule import CyclicSchedule, ObliviousSchedule
-from ..errors import warn_censored
 from ..evaluate.dispatch import Route, schedule_kind
+from ..evaluate.facade import mc_report, run_max_steps_for
 from ..evaluate.report import EvaluationReport
 from ..evaluate.request import EvaluationRequest
-from ..sim.montecarlo import _per_step_success, censored_completion_cdf
+from ..sim.montecarlo import LockstepRun, run_lockstep, sample_estimate
 from .keys import instance_hash
 
 __all__ = ["BatchMember", "batchable_request", "batch_signature", "run_batched_group"]
@@ -46,18 +35,6 @@ __all__ = ["BatchMember", "batchable_request", "batch_signature", "run_batched_g
 #: Metrics the lockstep group runner can assemble (everything else routes
 #: solo through ``evaluate()``).
 _BATCHABLE_METRICS = frozenset({"makespan", "completion_curve"})
-
-
-def run_max_steps_for(request: EvaluationRequest) -> int:
-    """The step budget the MC run actually observes (facade convention).
-
-    A curve-only request observes exactly ``horizon`` steps (legacy
-    ``completion_curve`` semantics); anything else observes
-    ``max_steps``.  Mirrors ``repro.evaluate.facade._run_mc``.
-    """
-    if "completion_curve" in request.metrics and "makespan" not in request.metrics:
-        return request.horizon
-    return request.max_steps
 
 
 def batchable_request(request: EvaluationRequest, route: Route, schedule) -> bool:
@@ -102,59 +79,8 @@ class BatchMember:
     route: Route
 
 
-@dataclass
-class _MemberState:
-    """Per-member simulation state mirroring the solo engine's locals."""
-
-    rng: np.random.Generator
-    reps: int
-    horizon: int
-    prefix_q: np.ndarray
-    cycle_q: np.ndarray | None
-    prefix_len: int
-    lo: int  # row offset into the stacked finished matrix
-    hi: int
-    makespan: np.ndarray
-    done_reps: np.ndarray
-
-
-def _member_state(member: BatchMember, lo: int, q_cache: dict) -> _MemberState:
-    instance, schedule, request = member.instance, member.schedule, member.request
-    reps = request.reps
-    max_steps = run_max_steps_for(request)
-    if isinstance(schedule, ObliviousSchedule):
-        key = ("oblivious", id(schedule))
-        if key not in q_cache:
-            q_cache[key] = (_per_step_success(instance, schedule.table), None)
-        prefix_q, cycle_q = q_cache[key]
-        prefix_len = schedule.length
-        horizon = min(max_steps, schedule.length)
-    else:
-        key = ("cyclic", id(schedule))
-        if key not in q_cache:
-            q_cache[key] = (
-                _per_step_success(instance, schedule.prefix.table),
-                _per_step_success(instance, schedule.cycle.table),
-            )
-        prefix_q, cycle_q = q_cache[key]
-        prefix_len = schedule.prefix_length
-        horizon = max_steps
-    return _MemberState(
-        rng=as_rng(member.request.seed),
-        reps=reps,
-        horizon=horizon,
-        prefix_q=prefix_q,
-        cycle_q=cycle_q,
-        prefix_len=prefix_len,
-        lo=lo,
-        hi=lo + reps,
-        makespan=np.full(reps, max_steps, dtype=np.int64),
-        done_reps=np.zeros(reps, dtype=bool),
-    )
-
-
 def run_batched_group(members: list[BatchMember]) -> list[EvaluationReport]:
-    """Run every member through one shared lockstep loop.
+    """Run every member through one shared lockstep run.
 
     Returns one :class:`EvaluationReport` per member, in input order,
     field-for-field identical to what solo ``evaluate()`` would have
@@ -165,115 +91,24 @@ def run_batched_group(members: list[BatchMember]) -> list[EvaluationReport]:
     """
     if not members:
         return []
-    instance = members[0].instance
-    n = instance.n
-    dag = instance.dag
-    pred_lists = [dag.predecessors(j) for j in range(n)]
-    pred_counts = np.array([len(pl) for pl in pred_lists], dtype=np.int64)
-    has_preds = pred_counts > 0
-    pred_matrix = np.zeros((n, n), dtype=np.float64)
-    for j, pl in enumerate(pred_lists):
-        for u in pl:
-            pred_matrix[u, j] = 1.0
-
-    q_cache: dict = {}
-    states: list[_MemberState] = []
-    lo = 0
-    for member in members:
-        state = _member_state(member, lo, q_cache)
-        states.append(state)
-        lo = state.hi
-    total_reps = lo
-    finished = np.zeros((total_reps, n), dtype=bool)
-
-    group_horizon = max(s.horizon for s in states)
+    runs = [
+        LockstepRun(
+            m.schedule, m.request.reps, as_rng(m.request.seed), run_max_steps_for(m.request)
+        )
+        for m in members
+    ]
     with obs.span(
         "serve.batch.run",
         members=len(members),
-        total_reps=total_reps,
-        horizon=group_horizon,
+        total_reps=sum(run.reps for run in runs),
+        horizon=max(run.horizon for run in runs),
     ):
-        for t in range(group_horizon):
-            if all(s.done_reps.all() or t >= s.horizon for s in states):
-                break
-            # The shared work: one eligibility reduction over every
-            # member's replications.  RNG-free and exact (0/1 sums in
-            # float64), so sharing it cannot perturb any member's bits.
-            if has_preds.any():
-                finished_pred_count = finished.astype(np.float64) @ pred_matrix
-                all_eligible = finished_pred_count >= pred_counts[None, :]
-            else:
-                all_eligible = None
-            for s in states:
-                # Replicate the solo engine's control flow bit for bit:
-                # a member past its horizon (or fully done) stops
-                # consuming its stream exactly where solo would.
-                if t >= s.horizon or s.done_reps.all():
-                    continue
-                if t < s.prefix_len:
-                    q = s.prefix_q[t]
-                elif s.cycle_q is not None:
-                    q = s.cycle_q[(t - s.prefix_len) % s.cycle_q.shape[0]]
-                else:  # pragma: no cover - horizon bound prevents this
-                    continue
-                if not q.any():
-                    continue
-                fin = finished[s.lo : s.hi]
-                if all_eligible is not None:
-                    eligible = all_eligible[s.lo : s.hi]
-                else:
-                    eligible = np.ones((s.reps, n), dtype=bool)
-                attempt = (~fin) & eligible & (q[None, :] > 0)
-                if not attempt.any():
-                    continue
-                draws = s.rng.random((s.reps, n))
-                newly = attempt & (draws < q[None, :])
-                fin |= newly
-                just_done = (~s.done_reps) & fin.all(axis=1)
-                s.makespan[just_done] = t + 1
-                s.done_reps |= just_done
-
+        results = run_lockstep(members[0].instance, runs)
     reports = []
-    for member, state in zip(members, states):
-        reports.append(_assemble_report(member, state))
+    for member, (samples, finished) in zip(members, results):
+        truncated = int((~finished).sum())
+        obs.add("mc.reps", samples.size)
+        obs.add("mc.truncated", truncated)
+        est = sample_estimate(samples, truncated, "oblivious-lockstep")
+        reports.append(mc_report(member.schedule, member.request, member.route, est))
     return reports
-
-
-def _assemble_report(member: BatchMember, state: _MemberState) -> EvaluationReport:
-    """Build the member's report exactly as the solo facade would."""
-    request, route = member.request, member.route
-    samples = state.makespan
-    reps = state.reps
-    truncated = int((~state.done_reps).sum())
-    run_max_steps = run_max_steps_for(request)
-    obs.add("mc.reps", reps)
-    obs.add("mc.truncated", truncated)
-    if truncated:
-        warn_censored(truncated, reps, run_max_steps, stacklevel=2)
-    values = samples.astype(np.float64)
-    mean = float(values.mean())
-    std_err = float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    curve = None
-    if "completion_curve" in request.metrics:
-        curve = censored_completion_cdf(samples, truncated, run_max_steps)[
-            : request.horizon
-        ]
-    wants_makespan = "makespan" in request.metrics
-    return EvaluationReport(
-        mode="mc",
-        engine="oblivious-lockstep",
-        schedule_kind=schedule_kind(member.schedule),
-        makespan=mean if wants_makespan else None,
-        std_err=std_err if wants_makespan else 0.0,
-        n_reps=reps,
-        truncated=truncated,
-        min=float(values.min()) if wants_makespan else None,
-        max=float(values.max()) if wants_makespan else None,
-        samples=samples if request.keep_samples else None,
-        completion_curve=curve,
-        sharded=False,
-        rounds=1,
-        precision_met=None,
-        reason=route.reason,
-        request=request,
-    )

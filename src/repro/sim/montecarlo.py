@@ -12,6 +12,7 @@ decision tree, and ``engine="scalar"``/``"batched"`` forces a path.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -69,89 +70,164 @@ class MakespanEstimate:
         )
 
 
-def _per_step_success(instance: SUUInstance, table: np.ndarray) -> np.ndarray:
+def _per_step_success(instance: SUUInstance, schedule) -> np.ndarray:
     """Per-step per-job one-step success probabilities for a schedule table.
 
     Entry ``(t, j)``: probability job ``j`` completes in step ``t`` given it
     is eligible and unfinished and the step-``t`` assignment is applied.
+    A cyclic schedule's cycle rows follow its prefix rows.
     """
-    T = table.shape[0]
-    out = np.empty((T, instance.n), dtype=np.float64)
-    for t in range(T):
-        out[t] = assignment_success_prob(instance.p, table[t])
+    if isinstance(schedule, ObliviousSchedule):
+        tables = (schedule.table,)
+    else:
+        tables = (schedule.prefix.table, schedule.cycle.table)
+    out = np.empty((sum(len(table) for table in tables), instance.n), dtype=np.float64)
+    for t, assignment in enumerate(itertools.chain(*tables)):
+        out[t] = assignment_success_prob(instance.p, assignment)
     return out
 
 
-def _vectorized_oblivious(
-    instance: SUUInstance,
-    schedule: ObliviousSchedule | CyclicSchedule,
-    reps: int,
-    rng: np.random.Generator,
-    max_steps: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate ``reps`` executions in lockstep.
+@dataclass
+class LockstepRun:
+    """One member of a lockstep run: a schedule judged on its own stream.
 
-    Returns ``(makespans, finished_flags)``; unfinished runs report the
-    censored step count ``max_steps``.
+    ``reps`` replications of ``schedule`` draw from ``rng`` and are
+    observed for at most ``max_steps`` steps; a finite oblivious table
+    stops at its own end (:attr:`horizon`).
+    """
+
+    schedule: ObliviousSchedule | CyclicSchedule
+    reps: int
+    rng: np.random.Generator
+    max_steps: int
+
+    @property
+    def horizon(self) -> int:
+        if isinstance(self.schedule, ObliviousSchedule):
+            return min(self.max_steps, self.schedule.length)
+        return self.max_steps
+
+
+class _Lane:
+    """A run's rows of the stacked state plus its per-step tables."""
+
+    __slots__ = (
+        "rng", "reps", "horizon", "lo", "hi", "fin", "q", "active",
+        "prefix_len", "cycle_len", "makespan", "done", "live",
+    )
+
+    def __init__(self, run: LockstepRun, lo: int, tables: tuple) -> None:
+        self.rng, self.reps, self.horizon = run.rng, run.reps, run.horizon
+        self.lo, self.hi = lo, lo + run.reps
+        self.q, self.active = tables
+        if isinstance(run.schedule, ObliviousSchedule):
+            self.prefix_len, self.cycle_len = run.schedule.length, 0
+        else:
+            self.prefix_len = run.schedule.prefix_length
+            self.cycle_len = run.schedule.cycle_length
+        self.makespan = np.full(run.reps, run.max_steps, dtype=np.int64)
+        self.done = np.zeros(run.reps, dtype=bool)
+        self.live = self.horizon > 0
+
+
+def run_lockstep(
+    instance: SUUInstance, runs: list[LockstepRun]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Simulate every run's replications in lockstep, stacked in one matrix.
+
+    Returns ``(makespans, finished_flags)`` per run, in input order;
+    unfinished replications report the censored step count ``max_steps``.
+
+    The replications of all runs are the rows of one shared ``finished``
+    matrix, but each run steps exactly as if it were alone: its own
+    horizon, its own skip tests, and one ``rng.random((reps, n))`` draw
+    on exactly the steps where one of its replications attempts a job.
+    Its stream, and hence its samples, are bitwise those of a solo run.
+    The one shared piece of work is the eligibility reduction
+    ``finished @ pred_matrix``, computed at most once per step and only
+    when some run reaches its attempt test.  It uses no RNG, row ``r`` of
+    it depends on row ``r`` of ``finished`` alone, and its 0/1 sums are
+    exact in float64, so neither sharing it nor skipping it changes a bit.
     """
     n = instance.n
-    dag = instance.dag
-    # Predecessor-count bookkeeping for eligibility, vectorized across reps.
-    pred_lists = [dag.predecessors(j) for j in range(n)]
-    pred_counts = np.array([len(pl) for pl in pred_lists], dtype=np.int64)
-    has_preds = pred_counts > 0
-    # (n_pred_edges,) flattened predecessor incidence for a fast gather:
-    # finished[:, pred_src] summed per job via matmul with a sparse-ish
-    # 0/1 matrix.  n is small enough that a dense (n, n) matrix is fine.
+    # Eligibility = all predecessors finished, counted by one matmul with
+    # a dense 0/1 incidence matrix (n is small enough for (n, n)).
     pred_matrix = np.zeros((n, n), dtype=np.float64)
-    for j, pl in enumerate(pred_lists):
-        for u in pl:
+    for j in range(n):
+        for u in instance.dag.predecessors(j):
             pred_matrix[u, j] = 1.0
+    pred_counts = pred_matrix.sum(axis=0)
+    has_preds = bool(pred_counts.any())
 
-    if isinstance(schedule, ObliviousSchedule):
-        prefix_q = _per_step_success(instance, schedule.table)
-        cycle_q = None
-        prefix_len = schedule.length
-    else:
-        prefix_q = _per_step_success(instance, schedule.prefix.table)
-        cycle_q = _per_step_success(instance, schedule.cycle.table)
-        prefix_len = schedule.prefix_length
+    # One success table, and its rows with any q > 0, per distinct schedule.
+    tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    lanes: list[_Lane] = []
+    lo = 0
+    for run in runs:
+        key = id(run.schedule)
+        if key not in tables:
+            q = _per_step_success(instance, run.schedule)
+            tables[key] = (q, q.any(axis=1))
+        lanes.append(_Lane(run, lo, tables[key]))
+        lo += run.reps
+    finished = np.zeros((lo, n), dtype=bool)
+    for lane in lanes:
+        lane.fin = finished[lane.lo : lane.hi]
 
-    finished = np.zeros((reps, n), dtype=bool)
-    makespan = np.full(reps, max_steps, dtype=np.int64)
-    done_reps = np.zeros(reps, dtype=bool)
-
-    horizon = max_steps
-    if isinstance(schedule, ObliviousSchedule):
-        horizon = min(max_steps, schedule.length)
-
-    for t in range(horizon):
-        if done_reps.all():
+    n_live = sum(lane.live for lane in lanes)
+    for t in range(max((lane.horizon for lane in lanes), default=0)):
+        if not n_live:
             break
-        if t < prefix_len:
-            q = prefix_q[t]
-        elif cycle_q is not None:
-            q = cycle_q[(t - prefix_len) % cycle_q.shape[0]]
-        else:  # pragma: no cover - loop bound prevents this
-            break
-        if not q.any():
-            continue
-        # Eligibility: all predecessors finished.
-        if has_preds.any():
-            finished_pred_count = finished.astype(np.float64) @ pred_matrix
-            eligible = finished_pred_count >= pred_counts[None, :]
-        else:
-            eligible = np.ones((reps, n), dtype=bool)
-        attempt = (~finished) & eligible & (q[None, :] > 0)
-        if not attempt.any():
-            continue
-        draws = rng.random((reps, n))
-        newly = attempt & (draws < q[None, :])
-        finished |= newly
-        just_done = (~done_reps) & finished.all(axis=1)
-        makespan[just_done] = t + 1
-        done_reps |= just_done
-    return makespan, done_reps
+        eligible = None
+        for lane in lanes:
+            if not lane.live:
+                continue
+            if t >= lane.horizon:
+                lane.live = False
+                n_live -= 1
+                continue
+            if t < lane.prefix_len:
+                row = t
+            else:
+                row = lane.prefix_len + (t - lane.prefix_len) % lane.cycle_len
+            if not lane.active[row]:
+                continue
+            fin = lane.fin
+            q = lane.q[row]
+            attempt = ~fin & (q > 0)
+            if has_preds:
+                if eligible is None:
+                    eligible = finished.astype(np.float64) @ pred_matrix >= pred_counts
+                attempt &= eligible[lane.lo : lane.hi]
+            if not attempt.any():
+                continue
+            draws = lane.rng.random((lane.reps, n))
+            fin |= attempt & (draws < q)
+            just_done = ~lane.done & fin.all(axis=1)
+            lane.makespan[just_done] = t + 1
+            lane.done |= just_done
+            if lane.done.all():
+                lane.live = False
+                n_live -= 1
+    return [(lane.makespan, lane.done) for lane in lanes]
+
+
+def sample_estimate(
+    samples: np.ndarray, truncated: int, engine_used: str, keep_samples: bool = True
+) -> MakespanEstimate:
+    """Sample statistics of a finished run — the one place they are computed."""
+    reps = samples.size
+    values = samples.astype(np.float64)
+    return MakespanEstimate(
+        mean=float(values.mean()),
+        std_err=float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0,
+        n_reps=reps,
+        truncated=truncated,
+        min=float(values.min()),
+        max=float(values.max()),
+        samples=samples if keep_samples else None,
+        engine_used=engine_used,
+    )
 
 
 def _estimate_makespan(
@@ -232,8 +308,8 @@ def _estimate_makespan(
     if engine == "auto" and isinstance(schedule, (ObliviousSchedule, CyclicSchedule)):
         engine_used = "oblivious-lockstep"
         with obs.span("mc.engine", engine=engine_used, reps=reps):
-            samples, finished_flags = _vectorized_oblivious(
-                instance, schedule, reps, rng, max_steps
+            ((samples, finished_flags),) = run_lockstep(
+                instance, [LockstepRun(schedule, reps, rng, max_steps)]
             )
         truncated = int((~finished_flags).sum())
     elif engine == "batched" or (engine == "auto" and batchable(schedule)):
@@ -264,19 +340,7 @@ def _estimate_makespan(
         )
     if truncated:
         warn_censored(truncated, reps, max_steps, stacklevel=_warn_stacklevel)
-    values = samples.astype(np.float64)
-    mean = float(values.mean())
-    std_err = float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return MakespanEstimate(
-        mean=mean,
-        std_err=std_err,
-        n_reps=reps,
-        truncated=truncated,
-        min=float(values.min()),
-        max=float(values.max()),
-        samples=samples if keep_samples else None,
-        engine_used=engine_used,
-    )
+    return sample_estimate(samples, truncated, engine_used, keep_samples)
 
 
 def estimate_makespan(

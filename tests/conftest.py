@@ -6,10 +6,32 @@ enough to be deterministic at the chosen replication counts.
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro import PrecedenceDAG, SUUInstance
+
+
+def pytest_configure(config):
+    # Tier-1 runs without resource leaks.  A ResourceWarning (an unclosed
+    # socket or file) is usually raised in a finalizer, where pytest
+    # reports it as an unraisable-exception warning, so both are errors.
+    config.addinivalue_line("filterwarnings", "error::ResourceWarning")
+    config.addinivalue_line(
+        "filterwarnings", "error::pytest.PytestUnraisableExceptionWarning"
+    )
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _collect_garbage_per_module():
+    # Objects caught in reference cycles (a test frame holding a raised
+    # exception and an open socket, say) are finalized only by the cyclic
+    # collector; run it before the module's last teardown ends, so a leak
+    # warns inside the module that caused it.
+    yield
+    gc.collect()
 
 
 @pytest.fixture
@@ -68,3 +90,4 @@ def small_chains_instance(rng) -> SUUInstance:
 def medium_independent(rng) -> SUUInstance:
     p = rng.uniform(0.05, 0.85, size=(6, 18))
     return SUUInstance(p, name="medium-independent")
+

@@ -67,6 +67,33 @@ class TestReportTelemetry:
         names = [c["name"] for c in report.telemetry["span"]["children"]]
         assert names == ["evaluate.validate", "evaluate.dispatch", "evaluate.run"]
 
+    def test_solver_name_builds_inside_a_solve_span(self, inst, monkeypatch):
+        # The registry build runs in its own `evaluate.solve` span, a
+        # sibling of `evaluate.validate`; a probe span opened inside the
+        # build must land under it.
+        from repro.algorithms.registry import Solver
+
+        real_build = Solver.build
+
+        def probed_build(self, *args, **kwargs):
+            with obs.span("probe.build"):
+                return real_build(self, *args, **kwargs)
+
+        monkeypatch.setattr(Solver, "build", probed_build)
+        with obs.capture():
+            report = evaluate(inst, "state_round_robin", mode="exact")
+        children = report.telemetry["span"]["children"]
+        assert [c["name"] for c in children] == [
+            "evaluate.validate",
+            "evaluate.solve",
+            "evaluate.dispatch",
+            "evaluate.run",
+        ]
+        validate, solve = children[0], children[1]
+        assert solve["attrs"]["solver"] == "state_round_robin"
+        assert [c["name"] for c in solve["children"]] == ["probe.build"]
+        assert all(s["name"] != "probe.build" for s in _walk(validate))
+
     def test_dispatch_span_records_route_decision(self, inst, sched):
         with obs.capture():
             report = evaluate(inst, sched, mode="auto", reps=50, seed=0)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import PrecedenceDAG, SUUInstance
-from repro.core.schedule import CyclicSchedule, ObliviousSchedule
+from repro.core.schedule import IDLE, CyclicSchedule, ObliviousSchedule
 from repro.errors import CensoredEstimateWarning
 from repro.evaluate import EvaluationRequest, evaluate
 from repro.evaluate.dispatch import select_route
@@ -188,3 +188,56 @@ class TestSignature:
         a = batch_signature(inst, _oblivious(inst), req)
         b = batch_signature(inst, _cyclic(inst), req)
         assert a != b
+
+
+class TestKernelBranchParity:
+    """Lockstep-kernel branches the groups above never reach.
+
+    The kernel computes the shared eligibility reduction lazily: not at
+    all without precedence edges, and on a step only once some member
+    reaches its attempt test.  Neither may change any member's bits.
+    """
+
+    def test_group_without_precedence_edges_matches_solo(self, inst):
+        free = SUUInstance(inst.p.copy(), name="no-edges")
+        members = [
+            _member(free, _oblivious(free), reps=45, seed=21, max_steps=120),
+            _member(free, _cyclic(free), reps=30, seed=22, max_steps=120),
+            _member(
+                free,
+                _oblivious(free, rounds=30, seed=3),
+                reps=25,
+                seed=23,
+                metrics=("makespan", "completion_curve"),
+                horizon=20,
+                max_steps=120,
+            ),
+        ]
+        batched = _batched_dicts(members)
+        for member, got in zip(members, batched):
+            assert got == _solo_dict(member.instance, member.schedule, member.request)
+
+    def test_members_skipping_idle_steps_do_not_shift_eligibility(self, inst):
+        # Idle rows make a member skip its attempt test on those steps
+        # while the others attempt, so the shared reduction is first
+        # needed by a different member from step to step.
+        def idle_every_other(schedule, offset):
+            table = schedule.table.copy()
+            table[offset::2] = IDLE
+            return ObliviousSchedule(table)
+
+        # A cycle that works job j, then idles one step, for every j.
+        cycle = np.full((2 * inst.n, inst.m), IDLE, dtype=np.int32)
+        cycle[::2] = np.arange(inst.n, dtype=np.int32)[:, None]
+        idle_cyclic = CyclicSchedule(ObliviousSchedule.empty(inst.m), ObliviousSchedule(cycle))
+        members = [
+            _member(inst, idle_every_other(_oblivious(inst, 40, 1), 0), reps=35, seed=31,
+                    max_steps=300),
+            _member(inst, _oblivious(inst, 40, 2), reps=20, seed=32, max_steps=300),
+            _member(inst, idle_cyclic, reps=40, seed=33, max_steps=300),
+            _member(inst, idle_every_other(_oblivious(inst, 40, 4), 1), reps=15, seed=34,
+                    max_steps=300),
+        ]
+        batched = _batched_dicts(members)
+        for member, got in zip(members, batched):
+            assert got == _solo_dict(member.instance, member.schedule, member.request)

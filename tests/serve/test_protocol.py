@@ -179,8 +179,8 @@ class TestErrorMapping:
                     body=body,
                     headers={"Content-Type": "application/json"},
                 )
-                resp = conn.getresponse()
-                assert resp.status == 429
-                assert resp.getheader("Retry-After") == "0.75"
+                with conn.getresponse() as resp:
+                    assert resp.status == 429
+                    assert resp.getheader("Retry-After") == "0.75"
             finally:
                 conn.close()
